@@ -17,6 +17,7 @@
 package delta
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -397,7 +398,7 @@ func Apply(base []byte, d Delta) ([]byte, error) {
 			}
 			out = append(out, inst.Data...)
 		case OpCopy:
-			if inst.Off < 0 || inst.Len < 0 || inst.Off+inst.Len > len(base) {
+			if !copyInBase(inst, len(base)) {
 				return nil, fmt.Errorf("delta: instruction %d: COPY [%d,%d) outside base of %d bytes",
 					i, inst.Off, inst.Off+inst.Len, len(base))
 			}
@@ -410,6 +411,45 @@ func Apply(base []byte, d Delta) ([]byte, error) {
 		return nil, errors.New("delta: reconstructed length mismatch")
 	}
 	return out, nil
+}
+
+// Matches reports whether Apply(base, d) would succeed and reproduce
+// exactly want. It makes Apply's checks, so a corrupt delta never matches,
+// but compares each segment against want in place instead of building the
+// target: it allocates nothing and stops at the first differing segment.
+func Matches(base []byte, d Delta, want []byte) bool {
+	if d.TargetLen != len(want) {
+		return false
+	}
+	pos := 0
+	for _, inst := range d.Insts {
+		var seg []byte
+		switch inst.Op {
+		case OpInsert:
+			if inst.Len != len(inst.Data) {
+				return false
+			}
+			seg = inst.Data
+		case OpCopy:
+			if !copyInBase(inst, len(base)) {
+				return false
+			}
+			seg = base[inst.Off : inst.Off+inst.Len]
+		default:
+			return false
+		}
+		if len(seg) > len(want)-pos || !bytes.Equal(seg, want[pos:pos+len(seg)]) {
+			return false
+		}
+		pos += len(seg)
+	}
+	return pos == len(want)
+}
+
+// copyInBase reports whether a COPY's source range lies inside a base of
+// baseLen bytes, without letting a corrupt Off+Len overflow.
+func copyInBase(inst Instruction, baseLen int) bool {
+	return inst.Off >= 0 && inst.Len >= 0 && inst.Off <= baseLen && inst.Len <= baseLen-inst.Off
 }
 
 // CopiedBytes returns how many target bytes the delta sources from the

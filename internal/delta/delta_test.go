@@ -2,6 +2,7 @@ package delta
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -423,5 +424,65 @@ func TestUnmarshalArbitraryBytesNeverPanics(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestMatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	src := makeText(rng, 4096)
+	tgt := edit(rng, src, 6)
+	d := Compress(src, tgt, Options{})
+	flipped := append([]byte(nil), tgt...)
+	flipped[len(flipped)/2] ^= 1
+
+	base := []byte("0123456789")
+	copy3 := Instruction{Op: OpCopy, Off: 2, Len: 3}
+	ins := Instruction{Op: OpInsert, Len: 2, Data: []byte("ab")}
+	cases := []struct {
+		name string
+		base []byte
+		d    Delta
+		want []byte
+		ok   bool
+	}{
+		{"valid", src, d, tgt, true},
+		{"one byte differs", src, d, flipped, false},
+		{"want truncated", src, d, tgt[:len(tgt)-1], false},
+		{"want extended", src, d, append(append([]byte(nil), tgt...), 'x'), false},
+		{"empty", base, Delta{}, nil, true},
+		{"copy and insert", base, Delta{Insts: []Instruction{copy3, ins}, TargetLen: 5}, []byte("234ab"), true},
+		{"copy out of range", base, Delta{Insts: []Instruction{{Op: OpCopy, Off: 8, Len: 3}}, TargetLen: 3}, []byte("89x"), false},
+		{"copy negative offset", base, Delta{Insts: []Instruction{{Op: OpCopy, Off: -1, Len: 2}}, TargetLen: 2}, []byte("01"), false},
+		{"copy negative length", base, Delta{Insts: []Instruction{{Op: OpCopy, Off: 2, Len: -1}}, TargetLen: 0}, nil, false},
+		{"copy end overflows", base, Delta{Insts: []Instruction{{Op: OpCopy, Off: 2, Len: math.MaxInt}}, TargetLen: 0}, nil, false},
+		{"insert len != data", base, Delta{Insts: []Instruction{{Op: OpInsert, Len: 3, Data: []byte("ab")}}, TargetLen: 3}, []byte("abc"), false},
+		{"insert len != data, prefix matches", base, Delta{Insts: []Instruction{{Op: OpInsert, Len: 1, Data: []byte("ab")}}, TargetLen: 2}, []byte("ab"), false},
+		{"target len short", base, Delta{Insts: []Instruction{copy3, ins}, TargetLen: 4}, []byte("234ab"), false},
+		{"target len long", base, Delta{Insts: []Instruction{copy3, ins}, TargetLen: 6}, []byte("234ab"), false},
+		{"target len matches want, output short", base, Delta{Insts: []Instruction{copy3}, TargetLen: 5}, []byte("234ab"), false},
+		{"huge target len", base, Delta{Insts: []Instruction{copy3}, TargetLen: math.MaxInt}, []byte("234"), false},
+		{"unknown op", base, Delta{Insts: []Instruction{copy3, {Op: Op(9), Len: 2}}, TargetLen: 5}, []byte("234ab"), false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := Matches(c.base, c.d, c.want); got != c.ok {
+				t.Errorf("Matches = %v, want %v", got, c.ok)
+			}
+			checkMatchesAgreesWithApply(t, c.base, c.d, c.want)
+			if allocs := testing.AllocsPerRun(100, func() { Matches(c.base, c.d, c.want) }); allocs != 0 {
+				t.Errorf("Matches allocated %v times per call, want 0", allocs)
+			}
+		})
+	}
+}
+
+// checkMatchesAgreesWithApply fails t unless Matches(base, d, want) is
+// exactly "Apply succeeds and reproduces want".
+func checkMatchesAgreesWithApply(t *testing.T, base []byte, d Delta, want []byte) {
+	t.Helper()
+	out, err := Apply(base, d)
+	ref := err == nil && bytes.Equal(out, want)
+	if got := Matches(base, d, want); got != ref {
+		t.Fatalf("Matches = %v, Apply+bytes.Equal = %v (Apply err %v)", got, ref, err)
 	}
 }

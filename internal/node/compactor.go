@@ -172,8 +172,7 @@ func (n *Node) rededupHooks() *docstore.CompactHooks {
 			if err != nil {
 				return false
 			}
-			got, err := delta.Apply(baseContent, d)
-			return err == nil && bytesEqual(got, old.Payload)
+			return delta.Matches(baseContent, d, old.Payload)
 		},
 		Committed: func(old, conv docstore.Record) {
 			n.compm.Conversions.Add(1)

@@ -18,12 +18,14 @@
 package node
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -128,7 +130,10 @@ type Stats struct {
 	Inserts, Reads, Updates, Deletes uint64
 	// WritebacksApplied / WritebacksSkipped count flush outcomes.
 	WritebacksApplied, WritebacksSkipped uint64
-	// DecodeSteps counts base fetches performed by reads.
+	// DecodeSteps counts delta-chain steps (store fetches of a base)
+	// taken by every decode, not only by client reads: write-back and
+	// re-dedup guards, engine source fetches, replica apply and Verify
+	// count too.
 	DecodeSteps uint64
 	// HiddenRepaired counts hidden records spliced out of decode chains.
 	HiddenRepaired uint64
@@ -998,7 +1003,12 @@ func decodeWritebackPayload(p []byte) (base uint64, version, baseVersion uint32,
 }
 
 // FlushWritebacks applies up to max pending write-backs (all of them when
-// max < 0), returning how many were applied.
+// max < 0), returning how many were applied. The batch is chosen
+// best-saving first (§3.3.2) but applied in ascending record ID: every
+// write-back re-encodes an older record against a newer one, so in that
+// order each guard decode of a base reads a record this batch has not yet
+// converted instead of walking the chains it has just built. The order
+// changes no guard outcome, so the same write-backs apply.
 func (n *Node) FlushWritebacks(max int) int {
 	if n.wb == nil {
 		return 0
@@ -1006,8 +1016,10 @@ func (n *Node) FlushWritebacks(max int) int {
 	if max < 0 {
 		max = n.wb.Len()
 	}
+	batch := n.wb.DrainBest(max)
+	slices.SortFunc(batch, func(a, b dedupcache.Writeback) int { return cmp.Compare(a.ID, b.ID) })
 	applied := 0
-	for _, wb := range n.wb.DrainBest(max) {
+	for _, wb := range batch {
 		if n.applyWriteback(wb.ID, wb.Payload) {
 			applied++
 		}
@@ -1075,7 +1087,7 @@ func (n *Node) applyWriteback(id uint64, payload []byte) bool {
 	// are fast-path filters; this catches every residual staleness
 	// (e.g. a delta computed from a cache entry that a concurrent client
 	// mutation invalidated mid-encode). Skipping costs only compression.
-	cur, err := n.decodeBaseNoRepair(id)
+	cur, err := n.decodeRecord(rec, false)
 	if err != nil {
 		return false
 	}
@@ -1090,8 +1102,7 @@ func (n *Node) applyWriteback(id uint64, payload []byte) bool {
 	if err != nil {
 		return false
 	}
-	reconstructed, err := delta.Apply(baseContent, d)
-	if err != nil || !bytesEqual(reconstructed, cur) {
+	if !delta.Matches(baseContent, d, cur) {
 		n.mu.Lock()
 		n.stats.WritebacksSkipped++
 		n.mu.Unlock()
@@ -1659,18 +1670,6 @@ func splitSections(p []byte) ([][]byte, error) {
 		return nil, errors.New("node: empty stacked payload")
 	}
 	return out, nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func joinSections(sections [][]byte) []byte {
