@@ -114,14 +114,15 @@ type Options struct {
 	// before judging a database (default 100000).
 	GovernorWindow int
 
-	// SyncEncode runs the dedup encoder inline with Insert instead of on
-	// the background pipeline. Deterministic, slightly higher insert
-	// latency.
+	// SyncEncode makes Insert, Update and Delete return only after the
+	// background encoder has processed the mutation (its oplog entry
+	// exists). Deterministic for a single-threaded caller, slightly higher
+	// insert latency.
 	SyncEncode bool
-	// EncodeWorkers sets the background encoder pool size. Jobs are
+	// EncodeWorkers sets the encoder pool size, in both modes. Jobs are
 	// sharded by database name, so one database's mutations always encode
 	// in order while independent databases encode in parallel. Default
-	// GOMAXPROCS; ignored with SyncEncode.
+	// GOMAXPROCS.
 	EncodeWorkers int
 	// EncodeQueue bounds each encoder shard's backlog (default 1024);
 	// mutations beyond it block until the encoder catches up.

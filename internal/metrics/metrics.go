@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -47,7 +48,7 @@ func bucketOf(d time.Duration) int {
 	if us < 1<<histSubBits {
 		return int(us)
 	}
-	exp := 63 - leadingZeros(us) // >= histSubBits
+	exp := 63 - bits.LeadingZeros64(us) // >= histSubBits
 	sub := (us >> (uint(exp) - histSubBits)) & ((1 << histSubBits) - 1)
 	b := (exp-histSubBits+1)<<histSubBits | int(sub)
 	if b >= histBuckets {
@@ -65,17 +66,6 @@ func bucketUpper(b int) time.Duration {
 	sub := b & ((1 << histSubBits) - 1)
 	us := (uint64(1<<histSubBits+sub+1) << (uint(exp) - histSubBits)) - 1
 	return time.Duration(us) * time.Microsecond
-}
-
-func leadingZeros(v uint64) int {
-	n := 0
-	for i := 63; i >= 0; i-- {
-		if v&(1<<uint(i)) != 0 {
-			return n
-		}
-		n++
-	}
-	return 64
 }
 
 // Observe records one duration.

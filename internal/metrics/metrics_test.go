@@ -194,3 +194,55 @@ func TestApplyMetricsSnapshot(t *testing.T) {
 		t.Errorf("p99 %d < p50 %d", snap.LatencyP99US, snap.LatencyP50US)
 	}
 }
+
+// TestHistogramBucketBoundaries pins the bucket mapping: exact 1µs buckets
+// below 16µs, then 16 sub-buckets per octave, with the last bucket also
+// absorbing everything larger.
+func TestHistogramBucketBoundaries(t *testing.T) {
+	const us = time.Microsecond
+	const last = histBuckets - 1
+	cases := []struct {
+		d    time.Duration
+		want int
+	}{
+		{-us, 0}, {0, 0}, {us, 1}, {15 * us, 15}, {16 * us, 16}, {31 * us, 31},
+		{32 * us, 32}, {33 * us, 32}, {34 * us, 33}, {63 * us, 47}, {64 * us, 48},
+		{(1 << 20) * us, 272}, {(1 << 32) * us, 464},
+		{((1 << 33) - 1) * us, last}, {(1 << 33) * us, last}, {(1 << 40) * us, last},
+	}
+	for _, c := range cases {
+		if got := bucketOf(c.d); got != c.want {
+			t.Errorf("bucketOf(%v) = %d, want %d", c.d, got, c.want)
+		}
+	}
+	// Every octave boundary 2^k µs opens bucket (k-3)·16, whose upper bound
+	// is 17·2^(k-4) − 1 µs; the bucket before it ends at 2^k − 1 µs.
+	for k := 4; (k-3)<<histSubBits <= last; k++ {
+		lo := time.Duration(1<<k) * us
+		first := (k - 3) << histSubBits
+		if got := bucketOf(lo); got != first {
+			t.Errorf("bucketOf(2^%d µs) = %d, want %d", k, got, first)
+		}
+		if got := bucketOf(lo - us); got != first-1 {
+			t.Errorf("bucketOf(2^%d−1 µs) = %d, want %d", k, got, first-1)
+		}
+		if got := bucketUpper(first - 1); got != lo-us {
+			t.Errorf("bucketUpper(%d) = %v, want %v", first-1, got, lo-us)
+		}
+		if got, want := bucketUpper(first), time.Duration(17<<(k-4)-1)*us; got != want {
+			t.Errorf("bucketUpper(%d) = %v, want %v", first, got, want)
+		}
+	}
+	// Buckets tile the range: each upper bound maps back to its bucket and
+	// the next microsecond opens the following one.
+	for b := 0; b <= last; b++ {
+		if got := bucketOf(bucketUpper(b)); got != b {
+			t.Errorf("bucketOf(bucketUpper(%d)) = %d", b, got)
+		}
+		if b < last {
+			if got := bucketOf(bucketUpper(b) + us); got != b+1 {
+				t.Errorf("bucketOf(bucketUpper(%d)+1µs) = %d, want %d", b, got, b+1)
+			}
+		}
+	}
+}

@@ -164,7 +164,7 @@ func (n *Node) rededupHooks() *docstore.CompactHooks {
 			}
 			// End-to-end guard (same as write-back apply): the committed
 			// delta must reproduce exactly the payload being replaced.
-			baseContent, err := n.decodeBaseNoRepair(conv.BaseID)
+			baseContent, err := n.decodeBase(conv.BaseID, false)
 			if err != nil {
 				return false
 			}
@@ -205,7 +205,7 @@ func (n *Node) buildConversion(rec docstore.Record, srcID uint64, maxDepth int) 
 	if !n.rededupStillSafe(rec.ID, srcID, maxDepth) {
 		return abort()
 	}
-	base, err := n.decodeBase(srcID)
+	base, err := n.decodeBase(srcID, true)
 	if err != nil {
 		// A similarity-index candidate can name a dead record; the stray
 		// refcnt entry the claim created is cleaned up by the release.

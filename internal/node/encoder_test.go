@@ -143,11 +143,12 @@ func TestEncoderBackpressure(t *testing.T) {
 	}
 }
 
-// TestBarrierOnSyncAndClosedNode pins Barrier's edge cases: it is a no-op in
-// synchronous mode and after Close.
+// TestBarrierOnSyncAndClosedNode pins Barrier's edge cases: in synchronous
+// mode it returns at once (every mutation already waited for its job), and
+// after Close it returns at once (Close drained the queues).
 func TestBarrierOnSyncAndClosedNode(t *testing.T) {
 	sn := testNode(t, Options{})
-	sn.Barrier() // must not hang: no shards exist
+	sn.Barrier() // must not hang: nothing is queued
 
 	an, err := Open(Options{EncodeWorkers: 2})
 	if err != nil {
@@ -249,9 +250,9 @@ func TestEncoderPoolConcurrentMixedOps(t *testing.T) {
 func TestShardForStable(t *testing.T) {
 	n := asyncNode(t, Options{EncodeWorkers: 4})
 	for _, db := range []string{"users", "orders", "wiki", ""} {
-		first := n.shardFor(db)
+		first := n.enc.shardFor(db)
 		for i := 0; i < 10; i++ {
-			if n.shardFor(db) != first {
+			if n.enc.shardFor(db) != first {
 				t.Fatalf("shardFor(%q) not stable", db)
 			}
 		}

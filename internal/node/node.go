@@ -6,11 +6,12 @@
 // produces (a) the forward-encoded oplog entry that replication ships and
 // (b) backward write-backs that the lossy write-back cache applies when the
 // node is idle. Encode jobs are sharded by database name onto per-shard FIFO
-// queues, each drained by one worker: mutations to the same database are
-// processed in the order they took effect (the invariant oplog correctness
-// rests on) while independent databases encode in parallel. Each shard's
-// queue is bounded; a client mutation that finds its shard full blocks until
-// the encoder catches up (backpressure) rather than queueing unboundedly.
+// queues (shardPool), each drained by one worker: mutations to the same
+// database are processed in the order they took effect (the invariant oplog
+// correctness rests on) while independent databases encode in parallel.
+// Each shard's queue is bounded; a client mutation that finds its shard full
+// blocks until the encoder catches up (backpressure) rather than queueing
+// unboundedly. With SyncEncode a mutation additionally waits for its own job.
 // Reads decode through backward-delta chains, consulting the source record
 // cache. Reference counts protect every record that serves as a decode base:
 // updates to referenced records append ("stack") instead of overwriting, and
@@ -22,7 +23,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -52,6 +52,15 @@ var ErrOverloaded = errors.New("node: overloaded, insert rejected by admission c
 // ErrDuplicateKey is returned for inserts whose (db, key) already exists.
 var ErrDuplicateKey = errors.New("duplicate key")
 
+var errClosed = errors.New("node: closed")
+
+// noWait is the already-closed channel an asynchronous mutation "waits" on.
+var noWait = func() <-chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
 // Options configures a node.
 type Options struct {
 	// Dir is the storage directory ("" = in-memory).
@@ -79,9 +88,12 @@ type Options struct {
 	// 8 MiB; negative disables the cache, applying write-backs inline —
 	// the Fig. 13b "without write-back cache" configuration).
 	WritebackCacheBytes int64
-	// SyncEncode makes the encoder run inline with Insert instead of
-	// behind the background queue. Deterministic; used by tests and the
-	// compression-ratio experiments.
+	// SyncEncode makes each client mutation return only after the encoder
+	// pool has processed its job (its oplog entry exists and its write-backs
+	// are queued). The job still runs on its database's encoder shard, so
+	// EncodeWorkers bounds encode concurrency in both modes. Deterministic
+	// for a single-threaded caller; used by tests and the compression-ratio
+	// experiments.
 	SyncEncode bool
 	// EncodeQueue bounds each encoder shard's queue (default 1024). A
 	// client mutation that finds its database's shard full blocks until
@@ -105,9 +117,13 @@ type Options struct {
 	// store (experiments emulating slow disks).
 	SimulatedAppendDelay time.Duration
 	// SimulatedEncodeDelay injects per-insert latency into the dedup
-	// encode stage (the storm harness uses it to pin the encoder pool's
-	// capacity independent of host speed). Shed-raw inserts skip it, like
-	// they skip the real encode work it stands in for.
+	// encode stage (the storm harness uses it to pin insert cost
+	// independent of host speed). Asynchronously, the shard worker sleeps
+	// it, pinning the encoder pool's capacity. With SyncEncode the
+	// inserting caller sleeps it while its job is queued, pinning per-call
+	// latency without serialising one database's inserts behind each
+	// other's sleeps. Shed-raw inserts skip it, like they skip the real
+	// encode work it stands in for.
 	SimulatedEncodeDelay time.Duration
 	// Admission configures overload protection in front of the encoder
 	// pool: admission control, per-tenant fair share, and shed-to-raw
@@ -141,8 +157,7 @@ type Stats struct {
 	// disk bytes they reclaimed.
 	Compactions     uint64
 	CompactionBytes int64
-	// EncodeWorkers is the size of the background encoder pool (0 in
-	// synchronous mode).
+	// EncodeWorkers is the size of the encoder pool.
 	EncodeWorkers int
 	// EncodeQueueDepth is the number of encode jobs queued or in flight.
 	EncodeQueueDepth int64
@@ -202,36 +217,18 @@ type Node struct {
 	encQueueCap int64
 	admRejected atomic.Uint64
 
-	// Encoder pool: one shard per worker, jobs hashed by database name.
-	// Shard queues are appended to under n.mu (with the shard's own lock
-	// taken inside it), so per-shard job order always matches the order
-	// client mutations took effect — the property oplog correctness rests
-	// on. encClosed mirrors `closed` for the workers, which synchronise on
-	// their shard lock rather than n.mu.
-	shards    []*encodeShard
-	asyncMode bool
-	encClosed atomic.Bool
-	encm      *metrics.EncodeMetrics     // queue gauges; engine's bundle when dedup is on
-	applym    *metrics.ApplyMetrics      // replication apply-path instrumentation
-	replm     *metrics.ReplMetrics       // replication transport hardening counters
-	compm     *metrics.CompactionMetrics // compaction pass / re-dedup counters
+	// Encoder pool: jobs are pushed under n.mu, so per-shard job order
+	// always matches the order client mutations took effect — the property
+	// oplog correctness rests on.
+	enc    *shardPool[encodeJob]
+	encm   *metrics.EncodeMetrics     // queue gauges; engine's bundle when dedup is on
+	applym *metrics.ApplyMetrics      // replication apply-path instrumentation
+	replm  *metrics.ReplMetrics       // replication transport hardening counters
+	compm  *metrics.CompactionMetrics // compaction pass / re-dedup counters
 
 	wg     sync.WaitGroup
 	stopCh chan struct{}
 	closed bool
-}
-
-// encodeShard is one background encoder's FIFO queue. The lock hierarchy is
-// n.mu → shard.mu: producers append while holding both; the worker pops
-// holding only shard.mu and never acquires n.mu while holding it.
-type encodeShard struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	q    []encodeJob
-	// sem holds one token per queued (non-sentinel) job; producers
-	// reserve a token *before* their mutation takes effect, blocking when
-	// the shard is at capacity. Workers release tokens after processing.
-	sem chan struct{}
 }
 
 type encodeJob struct {
@@ -250,7 +247,6 @@ type encodeJob struct {
 	// control: the worker emits the raw oplog entry without touching the
 	// engine.
 	shedRaw bool
-	barrier chan struct{} // non-nil: sentinel, closed when reached
 }
 
 // Open creates a node.
@@ -319,18 +315,9 @@ func Open(opts Options) (*Node, error) {
 		return nil, err
 	}
 	n.adm = admission.New(opts.Admission)
-	if !opts.SyncEncode {
-		n.asyncMode = true
-		n.encQueueCap = int64(opts.EncodeWorkers) * int64(opts.EncodeQueue)
-		n.shards = make([]*encodeShard, opts.EncodeWorkers)
-		for i := range n.shards {
-			sh := &encodeShard{sem: make(chan struct{}, opts.EncodeQueue)}
-			sh.cond = sync.NewCond(&sh.mu)
-			n.shards[i] = sh
-			n.wg.Add(1)
-			go n.encodeWorker(sh)
-		}
-	}
+	n.encQueueCap = int64(opts.EncodeWorkers) * int64(opts.EncodeQueue)
+	n.enc = newShardPool(opts.EncodeWorkers, opts.EncodeQueue, n.process,
+		&n.encm.QueueDepth, &n.encm.QueueOverflows)
 	if !opts.DisableAutoFlush && n.wb != nil {
 		n.wg.Add(1)
 		go n.flushLoop()
@@ -420,12 +407,7 @@ func (n *Node) Close() error {
 	n.closed = true
 	n.mu.Unlock()
 
-	n.encClosed.Store(true)
-	for _, sh := range n.shards {
-		sh.mu.Lock()
-		sh.cond.Broadcast()
-		sh.mu.Unlock()
-	}
+	n.enc.close()
 	close(n.stopCh)
 	n.wg.Wait()
 	if n.wb != nil {
@@ -438,85 +420,23 @@ func (n *Node) Close() error {
 }
 
 // Barrier waits until all encode work queued before the call has been
-// processed. Tests and experiments use it to observe a settled state.
-func (n *Node) Barrier() {
-	n.mu.Lock()
-	if !n.asyncMode || n.closed {
-		n.mu.Unlock()
-		return
-	}
-	// One sentinel per shard, enqueued under n.mu so each lands after all
-	// previously accepted mutations. Sentinels bypass the capacity tokens:
-	// they represent no work and must never deadlock against a full shard.
-	dones := make([]chan struct{}, len(n.shards))
-	for i, sh := range n.shards {
-		dones[i] = make(chan struct{})
-		sh.mu.Lock()
-		sh.q = append(sh.q, encodeJob{barrier: dones[i]})
-		sh.cond.Signal()
-		sh.mu.Unlock()
-	}
-	n.mu.Unlock()
-	for _, done := range dones {
-		<-done
-	}
-}
+// processed. Tests and experiments use it to observe a settled state. After
+// Close it returns at once (Close drained the queues).
+func (n *Node) Barrier() { n.enc.barrier() }
 
-// shardFor maps a database name to its encoder shard. All mutations of one
-// database land on the same shard, giving per-database FIFO encode order.
-func (n *Node) shardFor(db string) *encodeShard {
-	if len(n.shards) == 1 {
-		return n.shards[0]
-	}
-	h := fnv.New32a()
-	h.Write([]byte(db))
-	return n.shards[h.Sum32()%uint32(len(n.shards))]
-}
-
-// reserveEncodeSlot blocks until db's shard has queue capacity, returning
-// the shard. Called *before* n.mu is taken and before the mutation takes
-// effect, so backpressure never holds a lock and never reorders jobs: order
-// is fixed later, when the job is appended under n.mu. Returns nil in
-// synchronous mode.
-func (n *Node) reserveEncodeSlot(db string) *encodeShard {
-	if !n.asyncMode {
-		return nil
-	}
-	sh := n.shardFor(db)
-	select {
-	case sh.sem <- struct{}{}:
-	default:
-		// Shard at capacity: count the stall, then wait for the encoder.
-		n.encm.QueueOverflows.Add(1)
-		sh.sem <- struct{}{}
-	}
-	return sh
-}
-
-// releaseEncodeSlot returns an unused reservation (mutation failed before
-// enqueueing).
-func (n *Node) releaseEncodeSlot(sh *encodeShard) {
-	if sh != nil {
-		<-sh.sem
-	}
-}
-
-// enqueueLocked stamps the job with its mutation order and queues it on sh
-// (the caller's reservation from reserveEncodeSlot); caller holds n.mu. In
-// synchronous mode the job is returned for the caller to run after
-// releasing the lock.
-func (n *Node) enqueueLocked(sh *encodeShard, job encodeJob) (encodeJob, bool) {
+// enqueueLocked stamps the job with its mutation order and pushes it on sh,
+// the caller's reservation from n.enc.reserve, which the caller took before
+// n.mu so backpressure never holds the lock; caller holds n.mu. It returns
+// what the caller waits on after unlocking: a sentinel right behind the job
+// with SyncEncode, noWait otherwise.
+func (n *Node) enqueueLocked(sh *poolShard[encodeJob], job encodeJob) <-chan struct{} {
 	n.opSeq++
 	job.opSeq = n.opSeq
-	if !n.asyncMode {
-		return job, true
+	n.enc.push(sh, job)
+	if !n.opts.SyncEncode {
+		return noWait
 	}
-	n.encm.QueueDepth.Add(1)
-	sh.mu.Lock()
-	sh.q = append(sh.q, job)
-	sh.cond.Signal()
-	sh.mu.Unlock()
-	return job, false
+	return n.enc.sentinel(sh)
 }
 
 // ---------------------------------------------------------------- client ops
@@ -555,17 +475,17 @@ func (n *Node) Insert(db, key string, payload []byte) error {
 // reject rebalance traffic (admission is a client-facing policy; transfers
 // move data the cluster already acked).
 func (n *Node) insertAdmitted(db, key string, payload []byte, shed bool) error {
-	sh := n.reserveEncodeSlot(db)
+	sh := n.enc.reserve(db)
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		n.releaseEncodeSlot(sh)
-		return errors.New("node: closed")
+		n.enc.release(sh)
+		return errClosed
 	}
 	dbm := n.keys.dbMap(db)
 	if _, exists := dbm.Load(key); exists {
 		n.mu.Unlock()
-		n.releaseEncodeSlot(sh)
+		n.enc.release(sh)
 		return fmt.Errorf("node: %w: %q/%q", ErrDuplicateKey, db, key)
 	}
 	id := n.nextID
@@ -587,68 +507,65 @@ func (n *Node) insertAdmitted(db, key string, payload []byte, shed bool) error {
 	cp := append([]byte(nil), payload...)
 	if err := n.store.Append(docstore.Record{ID: id, DB: db, Key: key, Payload: cp}); err != nil {
 		n.mu.Unlock()
-		n.releaseEncodeSlot(sh)
+		n.enc.release(sh)
 		return err
 	}
 	dbm.Store(key, id)
-	job, inline := n.enqueueLocked(sh, encodeJob{kind: oplog.OpInsert, db: db, key: key,
+	done := n.enqueueLocked(sh, encodeJob{kind: oplog.OpInsert, db: db, key: key,
 		id: id, payload: cp, version: ver, shedRaw: shed})
 	n.mu.Unlock()
-
-	if inline {
-		n.process(job)
+	if n.opts.SyncEncode && !shed && n.eng != nil {
+		time.Sleep(n.opts.SimulatedEncodeDelay)
 	}
+	<-done
 	return nil
 }
 
 // Update overwrites the record's visible content.
 func (n *Node) Update(db, key string, payload []byte) error {
-	job, inline, err := n.updateLocalEmit(db, key, payload, true)
-	if err != nil {
-		return err
-	}
-	if inline {
-		n.process(job)
-	}
-	return nil
+	return n.updateLocalEmit(db, key, payload, true)
 }
 
 // updateLocal performs the storage-side update without emitting an oplog
 // entry (the replication apply path).
 func (n *Node) updateLocal(db, key string, payload []byte) error {
-	_, _, err := n.updateLocalEmit(db, key, payload, false)
-	return err
+	return n.updateLocalEmit(db, key, payload, false)
 }
 
 // updateLocalEmit performs the update and, when emit is set, queues the
 // oplog job in the same critical section as the version bump so entry order
 // matches mutation order.
-func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encodeJob, bool, error) {
-	var job encodeJob
-	inline := false
-	var sh *encodeShard
+func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) error {
+	var sh *poolShard[encodeJob]
 	if emit {
-		sh = n.reserveEncodeSlot(db)
+		sh = n.enc.reserve(db)
 	}
 	n.mu.Lock()
+	if n.closed {
+		n.mu.Unlock()
+		n.enc.release(sh)
+		return errClosed
+	}
 	id, ok := n.lookup(db, key)
 	if !ok {
 		n.mu.Unlock()
-		n.releaseEncodeSlot(sh)
-		return job, false, ErrNotFound
+		n.enc.release(sh)
+		return ErrNotFound
 	}
 	n.version[id]++
 	n.stats.Updates++
 	n.recentOps.Add(1)
 	refs := n.refcnt[id]
+	done := noWait
 	if emit {
-		job, inline = n.enqueueLocked(sh, encodeJob{kind: oplog.OpUpdate, db: db, key: key,
+		done = n.enqueueLocked(sh, encodeJob{kind: oplog.OpUpdate, db: db, key: key,
 			id: id, payload: append([]byte(nil), payload...)})
 	} else {
 		n.opSeq++
 	}
 	n.lastMut[id] = n.opSeq
 	n.mu.Unlock()
+	<-done
 
 	// A pending deferred write-back must never clobber fresh client data.
 	if n.wb != nil {
@@ -669,7 +586,7 @@ func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encod
 			oldBase, hadBase = m.BaseID, true
 		}
 		if err := n.store.Append(docstore.Record{ID: id, DB: db, Key: key, Payload: cp}); err != nil {
-			return job, inline, err
+			return err
 		}
 		if hadBase {
 			n.releaseRef(oldBase)
@@ -679,17 +596,17 @@ func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encod
 		// stack the update on top (paper §4.1, Update).
 		rec, okRec, err := n.store.Get(id)
 		if err != nil {
-			return job, inline, err
+			return err
 		}
 		if !okRec {
-			return job, inline, ErrNotFound
+			return ErrNotFound
 		}
 		var stacked []byte
 		if rec.Stacked {
 			// Replace the visible (last) section.
 			sections, err := splitSections(rec.Payload)
 			if err != nil {
-				return job, inline, err
+				return err
 			}
 			sections[len(sections)-1] = cp
 			stacked = joinSections(sections)
@@ -699,58 +616,55 @@ func (n *Node) updateLocalEmit(db, key string, payload []byte, emit bool) (encod
 		rec.Stacked = true
 		rec.Payload = stacked
 		if err := n.store.Append(rec); err != nil {
-			return job, inline, err
+			return err
 		}
 	}
-	return job, inline, nil
+	return nil
 }
 
 // Delete removes the record from the client's view. If other records decode
 // through it, it is hidden rather than destroyed and reclaimed later.
 func (n *Node) Delete(db, key string) error {
-	job, inline, err := n.deleteLocalEmit(db, key, true)
-	if err != nil {
-		return err
-	}
-	if inline {
-		n.process(job)
-	}
-	return nil
+	return n.deleteLocalEmit(db, key, true)
 }
 
 // deleteLocal performs the storage-side delete without emitting an oplog
 // entry (the replication apply path).
 func (n *Node) deleteLocal(db, key string) error {
-	_, _, err := n.deleteLocalEmit(db, key, false)
-	return err
+	return n.deleteLocalEmit(db, key, false)
 }
 
-func (n *Node) deleteLocalEmit(db, key string, emit bool) (encodeJob, bool, error) {
-	var job encodeJob
-	inline := false
-	var sh *encodeShard
+func (n *Node) deleteLocalEmit(db, key string, emit bool) error {
+	var sh *poolShard[encodeJob]
 	if emit {
-		sh = n.reserveEncodeSlot(db)
+		sh = n.enc.reserve(db)
 	}
 	n.mu.Lock()
+	if n.closed {
+		n.mu.Unlock()
+		n.enc.release(sh)
+		return errClosed
+	}
 	id, ok := n.lookup(db, key)
 	if !ok {
 		n.mu.Unlock()
-		n.releaseEncodeSlot(sh)
-		return job, false, ErrNotFound
+		n.enc.release(sh)
+		return ErrNotFound
 	}
 	n.keys.delete(db, key)
 	n.version[id]++
 	n.stats.Deletes++
 	n.recentOps.Add(1)
 	refs := n.refcnt[id]
+	done := noWait
 	if emit {
-		job, inline = n.enqueueLocked(sh, encodeJob{kind: oplog.OpDelete, db: db, key: key, id: id})
+		done = n.enqueueLocked(sh, encodeJob{kind: oplog.OpDelete, db: db, key: key, id: id})
 	} else {
 		n.opSeq++
 	}
 	n.lastMut[id] = n.opSeq
 	n.mu.Unlock()
+	<-done
 
 	if n.wb != nil {
 		n.wb.Invalidate(id)
@@ -761,21 +675,21 @@ func (n *Node) deleteLocalEmit(db, key string, emit bool) (encodeJob, bool, erro
 
 	if refs == 0 {
 		if err := n.reclaim(id); err != nil {
-			return job, inline, err
+			return err
 		}
 	} else {
 		rec, okRec, err := n.store.Get(id)
 		if err != nil {
-			return job, inline, err
+			return err
 		}
 		if okRec {
 			rec.Hidden = true
 			if err := n.store.Append(rec); err != nil {
-				return job, inline, err
+				return err
 			}
 		}
 	}
-	return job, inline, nil
+	return nil
 }
 
 // reclaim removes record id from the store and releases its base reference,
@@ -864,7 +778,7 @@ func (n *Node) Has(db, key string) bool {
 // ------------------------------------------------------------------- encode
 
 // process runs the dedup workflow for one queued mutation and emits its
-// oplog entry. It runs on the encode goroutine (or inline with SyncEncode).
+// oplog entry. It runs on the mutation's encoder shard worker.
 func (n *Node) process(job encodeJob) {
 	switch job.kind {
 	case oplog.OpInsert:
@@ -897,7 +811,7 @@ func (n *Node) processInsert(job encodeJob) {
 	alreadyMutated := n.version[job.id] != job.version || n.lastMut[job.id] > job.opSeq
 	n.mu.RUnlock()
 	if n.eng != nil && !alreadyMutated {
-		if n.opts.SimulatedEncodeDelay > 0 {
+		if !n.opts.SyncEncode {
 			time.Sleep(n.opts.SimulatedEncodeDelay)
 		}
 		res, err := n.eng.Encode(job.db, job.id, job.payload)
@@ -1091,7 +1005,7 @@ func (n *Node) applyWriteback(id uint64, payload []byte) bool {
 	if err != nil {
 		return false
 	}
-	baseContent, err := n.decodeBaseNoRepair(base)
+	baseContent, err := n.decodeBase(base, false)
 	if err != nil {
 		n.mu.Lock()
 		n.stats.WritebacksSkipped++
@@ -1192,32 +1106,6 @@ func (n *Node) compactStackedLocked(id uint64) {
 	}
 }
 
-// encodeWorker drains one shard in FIFO order. On close it finishes the
-// remaining queue before exiting, so Close never drops accepted work.
-func (n *Node) encodeWorker(sh *encodeShard) {
-	defer n.wg.Done()
-	for {
-		sh.mu.Lock()
-		for len(sh.q) == 0 && !n.encClosed.Load() {
-			sh.cond.Wait()
-		}
-		if len(sh.q) == 0 {
-			sh.mu.Unlock()
-			return
-		}
-		job := sh.q[0]
-		sh.q = sh.q[1:]
-		sh.mu.Unlock()
-		if job.barrier != nil {
-			close(job.barrier)
-			continue
-		}
-		n.process(job)
-		n.encm.QueueDepth.Add(-1)
-		<-sh.sem
-	}
-}
-
 // flushLoop applies write-backs when the node looks idle (the paper's I/O
 // queue length signal; our proxy is the client op rate plus the encode
 // queue depth).
@@ -1250,7 +1138,7 @@ func (n *Node) flushLoop() {
 type fetcher struct{ n *Node }
 
 func (f fetcher) FetchDecoded(id uint64) ([]byte, error) {
-	return f.n.decodeBase(id)
+	return f.n.decodeBase(id, true)
 }
 
 // decodeVisible returns what a client read of record id yields.
@@ -1273,8 +1161,9 @@ func (n *Node) decodeVisible(id uint64) ([]byte, error) {
 }
 
 // decodeBase returns the content other records decode through: the original
-// content, ignoring stacked client updates.
-func (n *Node) decodeBase(id uint64) ([]byte, error) {
+// content, ignoring stacked client updates. Callers already holding applyMu
+// pass allowRepair false (chain repair takes it).
+func (n *Node) decodeBase(id uint64, allowRepair bool) ([]byte, error) {
 	rec, ok, err := n.store.Get(id)
 	if err != nil {
 		return nil, err
@@ -1282,36 +1171,26 @@ func (n *Node) decodeBase(id uint64) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("node: decode base %d missing", id)
 	}
-	if rec.Stacked {
-		sections, err := splitSections(rec.Payload)
-		if err != nil {
-			return nil, err
-		}
-		rec.Payload = sections[0]
-		rec.Stacked = false
+	if rec, err = storedForm(rec); err != nil {
+		return nil, err
 	}
-	return n.decodeRecord(rec, true)
+	return n.decodeRecord(rec, allowRepair)
 }
 
-// decodeBaseNoRepair is decodeBase without opportunistic chain repair, for
-// use while already holding applyMu.
-func (n *Node) decodeBaseNoRepair(id uint64) ([]byte, error) {
-	rec, ok, err := n.store.Get(id)
+// storedForm returns rec as other records decode through it: a stacked
+// record reduced to its section 0 (the form it had before client updates
+// were stacked on top), any other record unchanged.
+func storedForm(rec docstore.Record) (docstore.Record, error) {
+	if !rec.Stacked {
+		return rec, nil
+	}
+	sections, err := splitSections(rec.Payload)
 	if err != nil {
-		return nil, err
+		return rec, err
 	}
-	if !ok {
-		return nil, fmt.Errorf("node: decode base %d missing", id)
-	}
-	if rec.Stacked {
-		sections, err := splitSections(rec.Payload)
-		if err != nil {
-			return nil, err
-		}
-		rec.Payload = sections[0]
-		rec.Stacked = false
-	}
-	return n.decodeRecord(rec, false)
+	rec.Payload = sections[0]
+	rec.Stacked = false
+	return rec, nil
 }
 
 // decodeRecord resolves rec's delta chain. rec.Payload must already be the
@@ -1363,13 +1242,8 @@ func (n *Node) decodeRecord(rec docstore.Record, allowRepair bool) ([]byte, erro
 			return nil, fmt.Errorf("node: record %d: base %d missing", cur.ID, baseID)
 		}
 		n.decodeSteps.Add(1)
-		if next.Stacked {
-			sections, err := splitSections(next.Payload)
-			if err != nil {
-				return nil, err
-			}
-			next.Payload = sections[0]
-			next.Stacked = false
+		if next, err = storedForm(next); err != nil {
+			return nil, err
 		}
 		if next.Form == docstore.FormRaw {
 			baseContent = next.Payload
@@ -1404,7 +1278,7 @@ func (n *Node) decodeRecord(rec docstore.Record, allowRepair bool) ([]byte, erro
 	if !baseFromCache || !baseHidden {
 		for i := 0; i+1 < len(steps); i++ {
 			if steps[i+1].isHid {
-				n.repairPastHidden(steps[i].id, steps[i+1].id, steps[i].content, steps[i+1].content)
+				n.repairPastHidden(steps[i].id, steps[i+1].id, steps[i].content)
 				baseHidden = false // at most one repair per read
 				break
 			}
@@ -1412,7 +1286,7 @@ func (n *Node) decodeRecord(rec docstore.Record, allowRepair bool) ([]byte, erro
 	}
 	if baseHidden && len(steps) > 0 {
 		last := steps[len(steps)-1]
-		n.repairPastHidden(last.id, baseID, last.content, nil)
+		n.repairPastHidden(last.id, baseID, last.content)
 	}
 	return content, nil
 }
@@ -1420,9 +1294,8 @@ func (n *Node) decodeRecord(rec docstore.Record, allowRepair bool) ([]byte, erro
 // repairPastHidden re-binds record depID (whose decoded content is
 // depContent) past the hidden record hidID: to hidID's own base when hidID
 // is delta-encoded, or back to raw form when hidID terminates the chain.
-// hidContent is hidID's decoded content when known (nil otherwise). One
-// reference to hidID is released, eventually reclaiming it.
-func (n *Node) repairPastHidden(depID, hidID uint64, depContent, hidContent []byte) {
+// One reference to hidID is released, eventually reclaiming it.
+func (n *Node) repairPastHidden(depID, hidID uint64, depContent []byte) {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
 
@@ -1452,7 +1325,7 @@ func (n *Node) repairPastHidden(depID, hidID uint64, depContent, hidContent []by
 			return
 		}
 		newBaseID = hidRec.BaseID
-		baseContent, err := n.decodeBaseNoRepair(newBaseID)
+		baseContent, err := n.decodeBase(newBaseID, false)
 		if err != nil {
 			return
 		}
@@ -1464,7 +1337,6 @@ func (n *Node) repairPastHidden(depID, hidID uint64, depContent, hidContent []by
 		// back to raw form.
 		newPayload = append([]byte(nil), depContent...)
 	}
-	_ = hidContent
 
 	if dep.Stacked {
 		sections, err := splitSections(dep.Payload)
@@ -1597,7 +1469,7 @@ func (n *Node) Stats() Stats {
 	s.Reads = n.readsTotal.Load()
 	s.DecodeSteps = n.decodeSteps.Load()
 	s.CompactionBytes = n.compactedBytes.Load()
-	s.EncodeWorkers = len(n.shards)
+	s.EncodeWorkers = len(n.enc.shards)
 	s.EncodeQueueDepth = n.encm.QueueDepth.Value()
 	s.EncodeOverflows = n.encm.QueueOverflows.Total()
 	s.InsertsRejected = n.admRejected.Load()

@@ -90,7 +90,7 @@ func (n *Node) applyReplicatedInsert(e oplog.Entry) error {
 		undoReservation()
 		return fmt.Errorf("%w: %q/%q (insert of %q)", ErrBaseMissing, e.DB, e.BaseKey, e.Key)
 	}
-	srcContent, err := n.decodeBase(srcID)
+	srcContent, err := n.decodeBase(srcID, true)
 	if err != nil {
 		undoReservation()
 		return fmt.Errorf("node: decoding base %q/%q: %w", e.DB, e.BaseKey, err)

@@ -80,7 +80,7 @@ func (n *Node) VerifyAll() (report VerifyReport) {
 		if depth := n.chainDepth(it.id); depth > report.MaxChainDepth {
 			report.MaxChainDepth = depth
 		}
-		if _, err := n.decodeBase(it.id); err != nil {
+		if _, err := n.decodeBase(it.id, true); err != nil {
 			if _, ok := n.store.Meta(it.id); !ok {
 				continue // reclaimed while decoding
 			}
