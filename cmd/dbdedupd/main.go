@@ -14,6 +14,14 @@
 //	dbdedupd -listen :7070 -cluster-self host2:7070 -cluster-peers host1:7070,host2:7070,host3:7070
 //	dbdedupd -listen :7070 -cluster-self host3:7070 -cluster-peers host1:7070,host2:7070,host3:7070
 //
+// A member started with -cluster-self alone serves the one-member ring of
+// itself. A member whose -cluster-peers list leaves out -cluster-self joins
+// that cluster: it owns nothing and redirects to the peers until
+//
+//	dedupcli -addrs host1:7070 rebalance host1:7070,host2:7070,host3:7070,host4:7070
+//
+// commits it into the ring.
+//
 // Use dedupcli to talk to the API port (-addrs for cluster routing).
 package main
 
@@ -65,7 +73,7 @@ func main() {
 		idxBudget  = flag.String("index-memory-budget", "", "similarity-index memory budget, e.g. 24MiB (empty: DBDEDUP_INDEX_BUDGET or unbounded; enables the tiered hot/cold index)")
 
 		clusterSelf  = flag.String("cluster-self", "", "this member's advertised client address in the ring (enables cluster mode)")
-		clusterPeers = flag.String("cluster-peers", "", "comma-separated initial cluster membership including self (empty: start ring-less and join via `dedupcli rebalance`)")
+		clusterPeers = flag.String("cluster-peers", "", "comma-separated initial cluster membership (empty: the one-member ring of self; without self: join those members via `dedupcli rebalance`)")
 		clusterFwd   = flag.Bool("cluster-forward", false, "proxy wrong-shard requests to their owner server-side instead of redirecting the client")
 	)
 	flag.Parse()
@@ -133,20 +141,13 @@ func main() {
 	var apiOpts apiserver.Options
 	if *clusterSelf != "" {
 		cm := &metrics.ClusterMetrics{}
-		initial := cluster.NewRing(0, nil)
+		// A peer list without self is a joiner outside that ring (see the
+		// package comment and DESIGN.md §13).
+		peers := []string{*clusterSelf}
 		if *clusterPeers != "" {
-			peers := splitAddrs(*clusterPeers)
-			found := false
-			for _, p := range peers {
-				if p == *clusterSelf {
-					found = true
-				}
-			}
-			if !found {
-				log.Fatalf("-cluster-peers %v does not include -cluster-self %s", peers, *clusterSelf)
-			}
-			initial = cluster.NewRing(1, peers)
+			peers = splitAddrs(*clusterPeers)
 		}
+		initial := cluster.NewRing(1, peers)
 		sh = cluster.NewShard(n, *clusterSelf, initial, nil, cm)
 		apiOpts.ForwardWrongShard = *clusterFwd
 		apiOpts.OnForward = func(ok bool) {

@@ -213,6 +213,10 @@ func (co *coordinator) recover(members []string) (*Ring, error) {
 		}
 	}
 
+	if err := refuseMerge(status); err != nil {
+		return nil, err
+	}
+
 	var base *Ring
 	var pend *Ring
 	for _, st := range status {
@@ -282,6 +286,37 @@ func (co *coordinator) recover(members []string) (*Ring, error) {
 	}
 	// Aborts bumped epochs; refetch the tip.
 	return co.tip(status)
+}
+
+// refuseMerge rejects a rebalance over two independently bootstrapped
+// clusters: two members with no window open, each serving under an active
+// ring that names itself, whose rings have different member sets. Every
+// state a rebalance leaves behind — partial commit, partial abort, a leave,
+// a joiner outside the ring — has windows open, rings that do not name
+// their holder, or agreeing member sets; merging two such clusters would
+// overwrite one side's acked writes with the other's.
+func refuseMerge(status map[string]*RingStatus) error {
+	addrs := make([]string, 0, len(status))
+	for m := range status {
+		addrs = append(addrs, m)
+	}
+	sort.Strings(addrs)
+	first := ""
+	for _, m := range addrs {
+		st := status[m]
+		if st.Pending != nil || !st.Ring.Has(st.Self) {
+			continue
+		}
+		if first == "" {
+			first = m
+			continue
+		}
+		if f := status[first].Ring; !sameMembers(f.Members, st.Ring.Members) {
+			return fmt.Errorf("cluster: %s serves ring %v but %s serves ring %v: refusing to merge independently bootstrapped clusters",
+				first, f.Members, m, st.Ring.Members)
+		}
+	}
+	return nil
 }
 
 // tip re-reads every member's active ring and returns the highest. Aborts

@@ -27,38 +27,60 @@ func testRebalanceOptions(mesh *netsim.Mesh) RebalanceOptions {
 	return RebalanceOptions{Network: mesh.Host("coord"), RPCTimeout: 2 * time.Second}
 }
 
-// TestRinglessJoinMovesData pins the bootstrap-join flow: a ring-less member
-// (the documented -cluster-self-without-peers deployment) holding acked data
-// is rebalanced into a cluster, and every database the new ring places on
-// another member is streamed there before the source's copy is dropped.
-// Before the ownerOrSelf fix, BeginHandoff skipped every database (the empty
-// ring owned nothing) and CommitRing then deleted the un-transferred data.
-func TestRinglessJoinMovesData(t *testing.T) {
-	mesh := netsim.NewMesh(11, "a", "b")
-	ma := startMember(t, mesh, "a", "a:1", nil, apiserver.Options{})
-	mb := startMember(t, mesh, "b", "b:1", nil, apiserver.Options{})
+// dbPlacedOn finds a database r1 places on own1 and r2 places on own2.
+func dbPlacedOn(t *testing.T, r1 *Ring, own1 string, r2 *Ring, own2 string) string {
+	t.Helper()
+	for i := 0; i < 10000; i++ {
+		db := fmt.Sprintf("routedb%d", i)
+		if r1.Owner(db) == own1 && r2.Owner(db) == own2 {
+			return db
+		}
+	}
+	t.Fatalf("no database moves from %s to %s", own1, own2)
+	return ""
+}
 
-	target := NewRing(1, []string{"a:1", "b:1"})
+// TestJoinerOutsideRingMovesData pins the bootstrap-join flow: a member
+// started without peers serves the one-member ring {a}@1 and takes routed
+// writes; a joiner started outside that ring owns nothing and redirects to
+// a until the rebalance commits it in. Every database the new ring places
+// on the joiner is streamed there before the source's copy is dropped.
+func TestJoinerOutsideRingMovesData(t *testing.T) {
+	mesh := netsim.NewMesh(11, "a", "b")
+	boot := NewRing(1, []string{"a:1"})
+	ma := startMember(t, mesh, "a", "a:1", boot, apiserver.Options{})
+	mb := startMember(t, mesh, "b", "b:1", boot, apiserver.Options{})
+
+	target := NewRing(2, []string{"a:1", "b:1"})
 	dbStay := dbOwnedBy(t, target, "a:1")
 	dbMove := dbOwnedBy(t, target, "b:1")
 
-	da := dialDirect(t, mesh, "a:1")
+	pre, err := DialCluster([]string{"a:1"}, testClientOptions(mesh, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pre.Close()
 	for i := 0; i < 5; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if err := da.Insert(dbStay, key, []byte("stay-"+key)); err != nil {
+		if err := pre.Insert(dbStay, key, []byte("stay-"+key)); err != nil {
 			t.Fatal(err)
 		}
-		if err := da.Insert(dbMove, key, []byte("move-"+key)); err != nil {
+		if err := pre.Insert(dbMove, key, []byte("move-"+key)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	_, err = dialDirect(t, mesh, "b:1").Get(dbMove, "k0")
+	var ws *apiserver.WrongShardError
+	if !errors.As(err, &ws) || ws.Owner != "a:1" {
+		t.Fatalf("joiner outside the ring: want a redirect to a:1, got %v", err)
 	}
 
 	ring, err := Rebalance([]string{"a:1"}, []string{"a:1", "b:1"}, testRebalanceOptions(mesh))
 	if err != nil {
 		t.Fatalf("join rebalance: %v", err)
 	}
-	if !sameMembers(ring.Members, []string{"a:1", "b:1"}) {
-		t.Fatalf("committed ring members = %v", ring.Members)
+	if !ring.Equal(target) {
+		t.Fatalf("committed ring = %v, want %v", ring, target)
 	}
 
 	for i := 0; i < 5; i++ {
@@ -91,16 +113,16 @@ func TestRinglessJoinMovesData(t *testing.T) {
 	}
 }
 
-// TestRinglessWindowFreezesAndAbortKeepsData pins the other half of the
-// bootstrap-join safety story: once a window opens on a ring-less member,
-// writes to its moving databases freeze (they would otherwise miss the
-// outbound snapshot), reads keep serving the frozen local copy, and an abort
-// keeps everything the member held before the window.
-func TestRinglessWindowFreezesAndAbortKeepsData(t *testing.T) {
+// TestSourceWindowFreezesAndAbortKeepsData pins the source half of the join
+// safety story: once a window opens on the one-member ring {a}@1, writes to
+// its moving databases freeze (they would otherwise miss the outbound
+// snapshot), reads keep serving the frozen local copy, and an abort keeps
+// everything the member held before the window.
+func TestSourceWindowFreezesAndAbortKeepsData(t *testing.T) {
 	mesh := netsim.NewMesh(12, "a")
-	ma := startMember(t, mesh, "a", "a:1", nil, apiserver.Options{})
+	ma := startMember(t, mesh, "a", "a:1", NewRing(1, []string{"a:1"}), apiserver.Options{})
 
-	pend := NewRing(1, []string{"a:1", "ghost:1"})
+	pend := NewRing(2, []string{"a:1", "ghost:1"})
 	db := dbOwnedBy(t, pend, "ghost:1")
 	da := dialDirect(t, mesh, "a:1")
 	if err := da.Insert(db, "k", []byte("pre-window")); err != nil {
@@ -113,10 +135,10 @@ func TestRinglessWindowFreezesAndAbortKeepsData(t *testing.T) {
 	err := da.Update(db, "k", []byte("into the window"))
 	var mv *apiserver.ShardMovingError
 	if !errors.As(err, &mv) {
-		t.Fatalf("ring-less write into an open window: want shard-moving, got %v", err)
+		t.Fatalf("source write into an open window: want shard-moving, got %v", err)
 	}
 	if got, err := da.Get(db, "k"); err != nil || !bytes.Equal(got, []byte("pre-window")) {
-		t.Fatalf("ring-less read during the window: %q, %v", got, err)
+		t.Fatalf("source read during the window: %q, %v", got, err)
 	}
 
 	if err := ma.sh.AbortRing(); err != nil {
@@ -130,17 +152,20 @@ func TestRinglessWindowFreezesAndAbortKeepsData(t *testing.T) {
 	}
 }
 
-// TestRinglessDestinationFreezesGainedCopy pins that a ring-less member
-// receiving a handoff does not serve the half-transferred inbound copy (the
-// source is still authoritative), and that an abort drops exactly that copy
-// while leaving pre-window databases alone.
-func TestRinglessDestinationFreezesGainedCopy(t *testing.T) {
+// TestDestinationFreezesGainedCopy pins that a destination receiving a
+// handoff does not serve the half-transferred inbound copy (the source is
+// still authoritative), and that an abort drops exactly that copy while
+// leaving the databases the destination already owned alone. Adding a
+// member to a consistent-hash ring only moves databases to the newcomer, so
+// the window that moves a database from a to b is one where a leaves.
+func TestDestinationFreezesGainedCopy(t *testing.T) {
 	mesh := netsim.NewMesh(13, "b")
-	mb := startMember(t, mesh, "b", "b:1", nil, apiserver.Options{})
+	active := NewRing(1, []string{"a:1", "b:1"})
+	mb := startMember(t, mesh, "b", "b:1", active, apiserver.Options{})
 
-	pend := NewRing(1, []string{"b:1", "ghost:1"})
-	gained := dbOwnedBy(t, pend, "b:1")
-	held := dbOwnedBy(t, pend, "ghost:1")
+	pend := NewRing(2, []string{"b:1", "ghost:1"})
+	gained := dbPlacedOn(t, active, "a:1", pend, "b:1")
+	held := dbPlacedOn(t, active, "b:1", pend, "b:1")
 	db := dialDirect(t, mesh, "b:1")
 	if err := db.Insert(held, "k", []byte("held before the window")); err != nil {
 		t.Fatal(err)
@@ -166,6 +191,41 @@ func TestRinglessDestinationFreezesGainedCopy(t *testing.T) {
 	}
 	if _, err := mb.n.Read(held, "k"); err != nil {
 		t.Errorf("pre-window database dropped by the abort: %v", err)
+	}
+}
+
+// TestRebalanceRefusesMergingBootstrappedClusters pins the coordinator's
+// merge refusal: two members each bootstrapped as their own one-member ring
+// both hold an acked X/k. Merging them would overwrite one side's acked
+// value with the other's, so the rebalance must fail without opening a
+// window anywhere, naming both members, and leave both values readable.
+func TestRebalanceRefusesMergingBootstrappedClusters(t *testing.T) {
+	mesh := netsim.NewMesh(17, "a", "b")
+	ma := startMember(t, mesh, "a", "a:1", NewRing(1, []string{"a:1"}), apiserver.Options{})
+	mb := startMember(t, mesh, "b", "b:1", NewRing(1, []string{"b:1"}), apiserver.Options{})
+
+	x := dbOwnedBy(t, NewRing(2, []string{"a:1", "b:1"}), "b:1")
+	if err := dialDirect(t, mesh, "a:1").Insert(x, "k", []byte("acked-on-a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := dialDirect(t, mesh, "b:1").Insert(x, "k", []byte("acked-on-b")); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err := Rebalance([]string{"a:1"}, []string{"a:1", "b:1"}, testRebalanceOptions(mesh))
+	if err == nil || !strings.Contains(err.Error(), "a:1") || !strings.Contains(err.Error(), "b:1") {
+		t.Fatalf("merging two bootstrapped clusters: want a refusal naming a:1 and b:1, got %v", err)
+	}
+	for _, m := range []*tmember{ma, mb} {
+		if p := m.sh.Pending(); p != nil {
+			t.Errorf("%s: refused rebalance left a window open: %v", m.sh.Self(), p)
+		}
+	}
+	if got, err := ma.n.Read(x, "k"); err != nil || !bytes.Equal(got, []byte("acked-on-a")) {
+		t.Errorf("a's acked value: %q, %v", got, err)
+	}
+	if got, err := mb.n.Read(x, "k"); err != nil || !bytes.Equal(got, []byte("acked-on-b")) {
+		t.Errorf("b's acked value: %q, %v", got, err)
 	}
 }
 

@@ -38,28 +38,6 @@ type Shard struct {
 	opMu    sync.RWMutex
 	ring    *Ring // active placement this member serves under
 	pending *Ring // non-nil while a rebalance window is open
-
-	// xferMu guards the per-window transfer bookkeeping. On a ring-less
-	// member (empty active ring) the ring cannot say which local databases
-	// are inbound half-transferred copies and which are pre-window data the
-	// member has been serving all along — the created set is that
-	// discriminator: those are the only copies a ring-less abort may drop.
-	xferMu      sync.Mutex
-	xferSeen    map[string]bool // dbs that received >=1 transfer this window
-	xferCreated map[string]bool // subset the transfer stream created from nothing
-}
-
-// ownerOrSelf returns the member r places db on, treating an empty ring as
-// placing everything on self: a ring-less member (the documented bootstrap
-// join flow, -cluster-self without -cluster-peers) serves every database it
-// holds, so for freeze and handoff purposes it is the source owner of all of
-// them — not the owner of none, which would let a join window stream nothing
-// and then drop acked data at commit.
-func ownerOrSelf(r *Ring, self, db string) string {
-	if len(r.Members) == 0 {
-		return self
-	}
-	return r.Owner(db)
 }
 
 // NewShard wraps n as the cluster member named self (its client address),
@@ -113,14 +91,11 @@ func (s *Shard) Pending() *Ring {
 }
 
 // classify routes db under the current rings. Nil means serve locally.
-// Caller holds opMu (shared or exclusive).
+// Caller holds opMu (shared or exclusive). Placement is plain ring logic: an
+// empty ring, or one that does not name this member, owns nothing here.
 func (s *Shard) classify(db string, write bool) error {
 	r, p := s.ring, s.pending
-	// A ring-less member owns everything it holds, like a single-node
-	// deployment — but the window checks below still apply, so a join
-	// rebalance write-freezes its moving databases instead of letting
-	// acked writes slip in behind the outbound snapshot.
-	owner := ownerOrSelf(r, s.self, db)
+	owner := r.Owner(db)
 	if p != nil {
 		powner := p.Owner(db)
 		if powner == s.self && owner != s.self {
@@ -152,17 +127,6 @@ func (s *Shard) classify(db string, write bool) error {
 				return &apiserver.ShardMovingError{Epoch: p.Epoch}
 			}
 			return nil
-		}
-		if len(r.Members) == 0 && powner == s.self && s.transferCreated(db) {
-			// Ring-less member acting as a destination: this database did
-			// not exist here before the window — it is an inbound
-			// half-transferred copy and the true source is still
-			// authoritative. Serving it, even a read, would expose partial
-			// state the abort path would then throw away.
-			if s.cm != nil {
-				s.cm.MovingAnswered.Add(1)
-			}
-			return &apiserver.ShardMovingError{Epoch: p.Epoch}
 		}
 	}
 	if owner != s.self {
@@ -290,49 +254,20 @@ func (s *Shard) InstallRing(body []byte) error {
 }
 
 // abandonPendingLocked clears an open window without committing it and
-// returns the databases whose half-transferred local copies must be dropped.
-// Caller holds opMu exclusively.
+// returns the databases whose half-transferred local copies must be dropped:
+// those the pending ring places here and the active ring does not. Such a
+// copy was never served (classify holds it off), so dropping it loses
+// nothing. Caller holds opMu exclusively.
 func (s *Shard) abandonPendingLocked() []string {
 	p := s.pending
 	s.pending = nil
 	var drop []string
-	if len(s.ring.Members) == 0 {
-		// Ring-less: the member held (and served) everything before the
-		// window, so the active ring cannot tell gained copies apart from
-		// pre-window data. Drop only databases the inbound transfer stream
-		// created from nothing; anything else might be acked pre-window
-		// data, and deleting acked data is the one unrecoverable mistake.
-		s.xferMu.Lock()
-		for db := range s.xferCreated {
+	for _, db := range s.n.DBNames() {
+		if p.Owner(db) == s.self && s.ring.Owner(db) != s.self {
 			drop = append(drop, db)
 		}
-		s.xferMu.Unlock()
-	} else {
-		for _, db := range s.n.DBNames() {
-			if p.Owner(db) == s.self && s.ring.Owner(db) != s.self {
-				drop = append(drop, db)
-			}
-		}
 	}
-	s.clearXfer()
 	return drop
-}
-
-// transferCreated reports whether the open window's transfer stream created
-// db on this member (it did not exist locally before the first inbound
-// record).
-func (s *Shard) transferCreated(db string) bool {
-	s.xferMu.Lock()
-	defer s.xferMu.Unlock()
-	return s.xferCreated[db]
-}
-
-// clearXfer resets the per-window transfer bookkeeping at every window
-// resolution (commit, abort, or replacement by a newer install).
-func (s *Shard) clearXfer() {
-	s.xferMu.Lock()
-	s.xferSeen, s.xferCreated = nil, nil
-	s.xferMu.Unlock()
 }
 
 // handoffSummary is BeginHandoff's wire answer.
@@ -369,10 +304,7 @@ func (s *Shard) BeginHandoff() ([]byte, error) {
 	}()
 	for _, db := range s.n.DBNames() {
 		dest := p.Owner(db)
-		// A ring-less member is the source owner of everything it holds
-		// (ownerOrSelf), so a bootstrap join streams its whole corpus out to
-		// the pending owners instead of skipping every database.
-		if ownerOrSelf(r, s.self, db) != s.self || dest == s.self || dest == "" {
+		if r.Owner(db) != s.self || dest == s.self || dest == "" {
 			continue
 		}
 		c := conns[dest]
@@ -426,7 +358,6 @@ func (s *Shard) CommitRing() error {
 	}
 	s.ring = s.pending
 	s.pending = nil
-	s.clearXfer()
 	if s.cm != nil {
 		s.cm.HandoffsCommitted.Add(1)
 		s.cm.RingEpoch.Set(int64(s.ring.Epoch))
@@ -477,18 +408,6 @@ func (s *Shard) Transfer(db, key string, payload []byte) error {
 	if s.pending == nil || s.pending.Owner(db) != s.self {
 		return fmt.Errorf("cluster: no open handoff window for db %q", db)
 	}
-	s.xferMu.Lock()
-	if !s.xferSeen[db] {
-		if s.xferSeen == nil {
-			s.xferSeen = map[string]bool{}
-			s.xferCreated = map[string]bool{}
-		}
-		s.xferSeen[db] = true
-		if len(s.n.DBKeys(db)) == 0 {
-			s.xferCreated[db] = true
-		}
-	}
-	s.xferMu.Unlock()
 	if err := s.n.TransferUpsert(db, key, payload); err != nil {
 		if s.cm != nil {
 			s.cm.TransferFailures.Add(1)

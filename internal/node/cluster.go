@@ -15,15 +15,7 @@ import (
 // DBNames returns the names of databases currently holding at least one key,
 // sorted for deterministic iteration.
 func (n *Node) DBNames() []string {
-	seen := make(map[string]bool)
-	n.keys.rangeAll(func(db, key string, id uint64) bool {
-		seen[db] = true
-		return true
-	})
-	out := make([]string, 0, len(seen))
-	for db := range seen {
-		out = append(out, db)
-	}
+	out := n.keys.liveDBs()
 	sort.Strings(out)
 	return out
 }
@@ -32,13 +24,7 @@ func (n *Node) DBNames() []string {
 // (sync.Map range semantics); handoff callers freeze the database's client
 // traffic first, which makes it exact.
 func (n *Node) DBKeys(db string) []string {
-	var out []string
-	n.keys.rangeAll(func(d, key string, id uint64) bool {
-		if d == db {
-			out = append(out, key)
-		}
-		return true
-	})
+	out := n.keys.keysOf(db)
 	sort.Strings(out)
 	return out
 }

@@ -49,6 +49,33 @@ func (d *keyDir) delete(db, key string) {
 	}
 }
 
+// liveDBs returns the databases holding at least one key, unsorted. Each
+// database's walk stops at its first key, so the cost is one step per
+// database, not one per key.
+func (d *keyDir) liveDBs() []string {
+	var out []string
+	d.dbs.Range(func(db, keys any) bool {
+		keys.(*sync.Map).Range(func(_, _ any) bool {
+			out = append(out, db.(string))
+			return false
+		})
+		return true
+	})
+	return out
+}
+
+// keysOf returns db's keys, unsorted, walking only db's own map.
+func (d *keyDir) keysOf(db string) []string {
+	var out []string
+	if keys, ok := d.dbs.Load(db); ok {
+		keys.(*sync.Map).Range(func(key, _ any) bool {
+			out = append(out, key.(string))
+			return true
+		})
+	}
+	return out
+}
+
 // rangeAll visits every (db, key, id); fn returning false stops the walk.
 // Like sync.Map.Range it observes a live directory, which is what the
 // snapshot and reconcile paths want (their callers replay concurrent

@@ -87,3 +87,30 @@ func TestKeyDirLockFreeReadStress(t *testing.T) {
 		t.Fatalf("verify after stress: %+v", rep.Errors)
 	}
 }
+
+// TestDBNamesAndKeys pins the cluster enumeration contract: DBNames lists
+// only databases holding at least one live key, sorted, and DBKeys lists
+// exactly db's own live keys, sorted.
+func TestDBNamesAndKeys(t *testing.T) {
+	n := asyncNode(t, Options{})
+	for _, dk := range [][2]string{{"zeta", "b"}, {"zeta", "a"}, {"alpha", "x"}, {"gone", "only"}} {
+		if err := n.Insert(dk[0], dk[1], []byte("payload of "+dk[0]+"/"+dk[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.Delete("gone", "only"); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(n.DBNames()); got != "[alpha zeta]" {
+		t.Errorf("DBNames = %s, want [alpha zeta]", got)
+	}
+	if got := fmt.Sprint(n.DBKeys("zeta")); got != "[a b]" {
+		t.Errorf("DBKeys(zeta) = %s, want [a b]", got)
+	}
+	if got := n.DBKeys("gone"); len(got) != 0 {
+		t.Errorf("DBKeys(gone) = %v, want none", got)
+	}
+	if got := n.DBKeys("missing"); len(got) != 0 {
+		t.Errorf("DBKeys(missing) = %v, want none", got)
+	}
+}
